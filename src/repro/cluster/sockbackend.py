@@ -268,6 +268,12 @@ class ShardHost:
     def stop(self) -> None:
         self._stopping.set()
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept();
+            # shutdown() does.  It raises on a listener already closed.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:  # pragma: no cover

@@ -66,29 +66,56 @@ class RealCryptoBackend(CryptoBackend):
         return _cmac.cmac(key, message)
 
 
+#: FastCryptoBackend keystream block size (the blake2b digest size).
+_BLOCK = 64
+#: Payload bytes FastCryptoBackend XORs per step; a multiple of ``_BLOCK``.
+_XOR_CHUNK = 1 << 16
+
+
 class FastCryptoBackend(CryptoBackend):
-    """blake2-based stream cipher + keyed blake2s MAC (C-speed, still keyed)."""
+    """blake2-based stream cipher + keyed blake2s MAC (C-speed, still keyed).
+
+    Keystream block ``i`` is ``blake2b(counter || u64le(i), key)``.  The XOR
+    with the payload runs word-wide on Python ints, 64 KiB at a time, so a
+    multi-megabyte payload (a sealed snapshot) never holds more than one
+    chunk's keystream and intermediate ints at once.
+    """
 
     name = "fast"
 
-    def _keystream(self, key: bytes, counter: bytes, length: int) -> bytes:
+    def _keystream(self, key: bytes, counter: bytes, first: int,
+                   last: int) -> bytes:
+        """Keystream blocks ``first`` to ``last - 1``, concatenated."""
+        if last - first == 1:
+            return hashlib.blake2b(counter + first.to_bytes(8, "little"),
+                                   key=key, digest_size=_BLOCK).digest()
+        keyed = hashlib.blake2b(key=key, digest_size=_BLOCK)
         blocks = []
-        produced = 0
-        index = 0
-        while produced < length:
-            block = hashlib.blake2b(
-                counter + index.to_bytes(8, "little"), key=key, digest_size=64
-            ).digest()
-            blocks.append(block)
-            produced += len(block)
-            index += 1
-        return b"".join(blocks)[:length]
+        for index in range(first, last):
+            block = keyed.copy()
+            block.update(counter + index.to_bytes(8, "little"))
+            blocks.append(block.digest())
+        return b"".join(blocks)
+
+    def _xor(self, key: bytes, counter: bytes, data: bytes, start: int) -> bytes:
+        """``data`` XOR the keystream from byte ``start`` (block-aligned)."""
+        size = len(data)
+        first = start // _BLOCK
+        keystream = self._keystream(key, counter, first,
+                                    first + -(-size // _BLOCK))
+        return (int.from_bytes(data, "little")
+                ^ int.from_bytes(keystream[:size], "little")
+                ).to_bytes(size, "little")
 
     def encrypt(self, key: bytes, counter: bytes, plaintext: bytes) -> bytes:
         if len(counter) != COUNTER_SIZE:
             raise ValueError(f"counter must be {COUNTER_SIZE} bytes")
-        keystream = self._keystream(key, counter, len(plaintext))
-        return bytes(a ^ b for a, b in zip(plaintext, keystream))
+        if len(plaintext) <= _XOR_CHUNK:
+            return self._xor(key, counter, plaintext, 0)
+        return b"".join([
+            self._xor(key, counter, plaintext[start:start + _XOR_CHUNK], start)
+            for start in range(0, len(plaintext), _XOR_CHUNK)
+        ])
 
     def decrypt(self, key: bytes, counter: bytes, ciphertext: bytes) -> bytes:
         return self.encrypt(key, counter, ciphertext)

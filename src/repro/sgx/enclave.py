@@ -13,6 +13,15 @@ All code paths that "run inside the enclave" go through these methods so
 costs are charged uniformly: a read of untrusted memory pays the untrusted
 access cost, a MAC pays per-byte crypto cost plus the copy of its input into
 the enclave, an OCALL pays the boundary-crossing cost, and so on.
+
+The per-access primitives (untrusted reads and writes, EPC touches, MACs,
+encryption, the key hash and compares) are the simulator's hottest calls,
+so each charges the meter in one flat step: it adds the
+:class:`~repro.sgx.costs.CostModel` formula's value to ``meter.cycles`` and
+bumps its event directly, instead of calling ``access_cost`` and then
+``charge_event``.  The arithmetic is the cost model's, term for term, so
+every charge is the same float; ``tests/test_cycle_golden.py`` pins each
+one to ``CostModel`` for every size up to a page.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from typing import Optional
 from repro.crypto.backend import CryptoBackend, get_backend
 from repro.crypto.keys import KeyMaterial
 from repro.errors import IntegrityError
-from repro.sgx.costs import PAGE_SIZE, CostModel, SgxPlatform
+from repro.sgx.costs import CACHELINE, PAGE_SIZE, CostModel, SgxPlatform
 from repro.sgx.epc import EpcBudget
 from repro.sgx.memory import UntrustedMemory
 from repro.sgx.meter import CycleMeter
@@ -67,42 +76,64 @@ class Enclave:
 
     # -- untrusted memory traffic ---------------------------------------------
 
+    def _charge_access(self, event: str, base: float, nbytes: int) -> None:
+        """Charge one ``CostModel.access_cost`` whose base cost is ``base``."""
+        meter = self.meter
+        if meter.enabled:
+            if nbytes > CACHELINE:
+                base += (nbytes - CACHELINE) * self.costs.mem_per_byte
+            meter.cycles += base
+            meter.events[event] += 1
+
     def read_untrusted(self, addr: int, size: int) -> bytes:
         """Dependent load from untrusted memory into enclave registers/stack."""
-        self.meter.charge_event(
-            "untrusted_access", self.costs.access_cost(size, in_epc=False)
-        )
+        self._charge_access("untrusted_access", self.costs.untrusted_access,
+                            size)
         return self.untrusted.read(addr, size)
 
     def write_untrusted(self, addr: int, data: bytes) -> None:
-        self.meter.charge_event(
-            "untrusted_access", self.costs.access_cost(len(data), in_epc=False)
-        )
+        self._charge_access("untrusted_access", self.costs.untrusted_access,
+                            len(data))
         self.untrusted.write(addr, data)
 
     # -- EPC-resident data traffic ---------------------------------------------
 
     def epc_touch(self, nbytes: int = 8) -> None:
         """One access to software-managed EPC data (Secure Cache, bitmaps...)."""
-        self.meter.charge_event("epc_access", self.costs.access_cost(nbytes, in_epc=True))
+        self._charge_access("epc_access", self.costs.epc_access, nbytes)
 
     def epc_copy_in(self, nbytes: int) -> None:
         """Copy ``nbytes`` from untrusted memory into the EPC (node swap-in)."""
-        self.meter.charge_event(
-            "untrusted_access", self.costs.access_cost(nbytes, in_epc=False)
-        )
-        self.meter.charge_event("epc_access", self.costs.access_cost(nbytes, in_epc=True))
+        self._charge_access("untrusted_access", self.costs.untrusted_access,
+                            nbytes)
+        self._charge_access("epc_access", self.costs.epc_access, nbytes)
 
     # -- crypto (all executed inside the enclave) -------------------------------
 
+    def _charge_mac(self, nbytes: int) -> None:
+        """Charge one ``CostModel.mac_cost``."""
+        meter = self.meter
+        if meter.enabled:
+            costs = self.costs
+            meter.cycles += costs.mac_base + nbytes * costs.mac_per_byte
+            events = meter.events
+            events["mac_bytes"] += nbytes
+            events["mac_ops"] += 1
+
+    def _charge_enc(self, nbytes: int) -> None:
+        """Charge one ``CostModel.enc_cost``."""
+        meter = self.meter
+        if meter.enabled:
+            costs = self.costs
+            meter.cycles += costs.enc_base + nbytes * costs.enc_per_byte
+            meter.events["enc_bytes"] += nbytes
+
     def mac(self, message: bytes) -> bytes:
-        self.meter.charge_event("mac_bytes", self.costs.mac_cost(len(message)), len(message))
-        self.meter.count("mac_ops")
+        self._charge_mac(len(message))
         return self.crypto.mac(self.keys.mac_key, message)
 
     def mac_verify(self, message: bytes, tag: bytes) -> bool:
-        self.meter.charge_event("mac_bytes", self.costs.mac_cost(len(message)), len(message))
-        self.meter.count("mac_ops")
+        self._charge_mac(len(message))
         return self.crypto.mac_verify(self.keys.mac_key, message, tag)
 
     def require_mac(self, message: bytes, tag: bytes, what: str) -> None:
@@ -111,26 +142,26 @@ class Enclave:
             raise IntegrityError(f"MAC mismatch on {what}: untrusted data modified")
 
     def encrypt(self, counter: bytes, plaintext: bytes) -> bytes:
-        self.meter.charge_event(
-            "enc_bytes", self.costs.enc_cost(len(plaintext)), len(plaintext)
-        )
+        self._charge_enc(len(plaintext))
         return self.crypto.encrypt(self.keys.encryption_key, counter, plaintext)
 
     def decrypt(self, counter: bytes, ciphertext: bytes) -> bytes:
-        self.meter.charge_event(
-            "enc_bytes", self.costs.enc_cost(len(ciphertext)), len(ciphertext)
-        )
+        self._charge_enc(len(ciphertext))
         return self.crypto.decrypt(self.keys.encryption_key, counter, ciphertext)
 
     # -- misc in-enclave work ----------------------------------------------------
 
     def hash_key(self, key: bytes) -> int:
         """Bucket hash / key-hint hash computed inside the enclave."""
-        self.meter.charge(self.costs.hash_compute)
+        meter = self.meter
+        if meter.enabled:
+            meter.cycles += self.costs.hash_compute
         return zlib.crc32(key)
 
     def compare(self, a: bytes, b: bytes) -> bool:
-        self.meter.charge(self.costs.compare_per_byte * max(len(a), len(b)))
+        meter = self.meter
+        if meter.enabled:
+            meter.cycles += self.costs.compare_per_byte * max(len(a), len(b))
         return a == b
 
     def work(self, cycles: float) -> None:

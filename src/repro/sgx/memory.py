@@ -49,26 +49,37 @@ class UntrustedMemory:
         self._next = base + size + 64  # guard gap between regions
         return base
 
-    def _locate(self, addr: int, size: int) -> tuple[bytearray, int]:
-        idx = bisect_right(self._bases, addr) - 1
-        if idx < 0:
-            raise AriaError(f"invalid untrusted address {addr:#x}")
-        base = self._bases[idx]
-        region = self._regions[idx]
-        offset = addr - base
-        if offset + size > len(region):
-            raise AriaError(
-                f"untrusted access [{addr:#x}, +{size}) crosses region bounds"
-            )
-        return region, offset
+    def _out_of_bounds(self, addr: int, size: int) -> AriaError:
+        """The error for an access that no single region holds."""
+        if bisect_right(self._bases, addr) == 0:
+            return AriaError(f"invalid untrusted address {addr:#x}")
+        return AriaError(
+            f"untrusted access [{addr:#x}, +{size}) crosses region bounds"
+        )
+
+    # ``read`` and ``write`` are the simulator's hottest calls, so each
+    # finds its region inline: the last region that starts at or below
+    # ``addr``, which must hold all ``size`` bytes.
 
     def read(self, addr: int, size: int) -> bytes:
-        region, offset = self._locate(addr, size)
-        return bytes(region[offset : offset + size])
+        idx = bisect_right(self._bases, addr) - 1
+        if idx >= 0:
+            offset = addr - self._bases[idx]
+            region = self._regions[idx]
+            if offset + size <= len(region):
+                return bytes(region[offset : offset + size])
+        raise self._out_of_bounds(addr, size)
 
     def write(self, addr: int, data: bytes) -> None:
-        region, offset = self._locate(addr, len(data))
-        region[offset : offset + len(data)] = data
+        idx = bisect_right(self._bases, addr) - 1
+        if idx >= 0:
+            offset = addr - self._bases[idx]
+            region = self._regions[idx]
+            end = offset + len(data)
+            if end <= len(region):
+                region[offset:end] = data
+                return
+        raise self._out_of_bounds(addr, len(data))
 
     # -- attacker interface -------------------------------------------------
 

@@ -248,6 +248,19 @@ class TestTopology:
         assert multiprocessing.active_children() == []
         assert reap_leaked_hosts() == []  # idempotent, nothing left
 
+    def test_stop_wakes_a_blocked_accept(self):
+        host = ShardHost(seed=29)
+        host.start()
+        thread = threading.Thread(target=host.serve_forever, daemon=True)
+        thread.start()
+        time.sleep(0.05)  # let serve_forever block in accept()
+        started = time.monotonic()
+        host.stop()
+        thread.join(1.0)
+        assert not thread.is_alive()
+        assert time.monotonic() - started < 1.0
+        host.stop()  # a second stop on the closed listener is harmless
+
 
 # ---------------------------------------------------------------------------
 # 3. Attestation

@@ -1,5 +1,8 @@
 """Backend-interface tests: both backends satisfy the same contract."""
 
+import hashlib
+import tracemalloc
+
 import pytest
 
 from repro.crypto.backend import FastCryptoBackend, RealCryptoBackend, get_backend
@@ -73,3 +76,66 @@ def test_key_material_seed_deterministic_and_random_distinct():
 def test_key_material_rejects_short_keys():
     with pytest.raises(ValueError):
         KeyMaterial(encryption_key=b"short", mac_key=b"x" * 16)
+
+
+# ---------------------------------------------------------------------------
+# FastCryptoBackend: known answers and bounded memory
+# ---------------------------------------------------------------------------
+
+KAT_COUNTER = bytes(range(16))
+
+#: SHA-256 of ``encrypt(KeyMaterial.from_seed(42).encryption_key,
+#: bytes(range(16)), _kat_plaintext(n))``, recorded from the original
+#: byte-at-a-time keystream XOR.  Record ciphertexts, sealed WALs and
+#: snapshots all depend on these bytes staying the same.
+KAT_DIGESTS = {
+    0: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    1: "149488d869cbef080602a371ab0d39d97af103fb726aaeb02ccd36c06f494e5d",
+    63: "651279a427e9c818854d470752466aed6858a0ffdf8995be3d57fa4c64e16268",
+    64: "d41e9d9c5ef9bf1bfa396d7978bfe4bc2021855b9a9983ae0b1116b23c8b1639",
+    65: "e3b72faa40b9beb535a4e227a5c913417bb855076bbdc3137c9b3e15b8d58932",
+    1522: "d4694c33ec0f5b0e0ed0762700a60ebad1c97dcbec22e2b0be4a4d6709ee27cd",
+    65536: "ce06066f73ebc07157d1ff9d5d697381ed8536e41ffbcebdb236007c024355e6",
+    65537: "f95c4a75d305d531a8ac5cc63851f1cd85d6f62a8500bf0bfebc9b0fcbebaf86",
+    4 << 20:
+        "8df49886dc80a906ada486f5a001a70c2d484712ec5031425dc1ed641361eef5",
+}
+
+
+def _kat_plaintext(size: int) -> bytes:
+    return (bytes(range(256)) * (size // 256 + 1))[:size]
+
+
+@pytest.mark.parametrize("size", sorted(KAT_DIGESTS))
+def test_fast_backend_known_answers(size):
+    backend = FastCryptoBackend()
+    plaintext = _kat_plaintext(size)
+    ciphertext = backend.encrypt(KEYS.encryption_key, KAT_COUNTER, plaintext)
+    assert type(ciphertext) is bytes and len(ciphertext) == size
+    assert hashlib.sha256(ciphertext).hexdigest() == KAT_DIGESTS[size]
+    assert backend.decrypt(KEYS.encryption_key, KAT_COUNTER,
+                           ciphertext) == plaintext
+
+
+def test_fast_backend_accepts_bytes_like_input():
+    backend = FastCryptoBackend()
+    plaintext = _kat_plaintext(1522)
+    expected = backend.encrypt(KEYS.encryption_key, KAT_COUNTER, plaintext)
+    for view in (bytearray(plaintext), memoryview(plaintext)):
+        assert backend.encrypt(KEYS.encryption_key, KAT_COUNTER,
+                               view) == expected
+
+
+def test_fast_backend_large_payload_memory_is_bounded():
+    # The XOR runs in bounded chunks, so sealing a multi-megabyte snapshot
+    # holds the output plus one chunk's working set, not several full-size
+    # copies (the byte-at-a-time version peaked near 3.9x the payload).
+    backend = FastCryptoBackend()
+    plaintext = _kat_plaintext(4 << 20)
+    tracemalloc.start()
+    try:
+        backend.encrypt(KEYS.encryption_key, KAT_COUNTER, plaintext)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(plaintext)

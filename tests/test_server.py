@@ -75,6 +75,61 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             protocol.decode_batch(raw)
 
+    @pytest.mark.parametrize("opcode", [0, 5, 9, 0x7F, 0xFF])
+    def test_unknown_opcode_error_names_the_byte(self, opcode):
+        raw = Request(opcode, b"k").encode()
+        with pytest.raises(ProtocolError) as excinfo:
+            protocol.decode_request(raw)
+        assert str(excinfo.value) == f"unknown opcode {opcode}"
+        with pytest.raises(ProtocolError, match=f"^unknown opcode {opcode}$"):
+            protocol.decode_batch(protocol.encode_batch([Request(opcode,
+                                                                 b"k")]))
+
+    @pytest.mark.parametrize("status", [6, 0x42, 0xFF])
+    def test_unknown_status_decodes_as_its_raw_int(self, status):
+        raw = Response(status, b"v").encode()
+        decoded, offset = protocol.decode_response(raw)
+        assert decoded.status == status
+        assert type(decoded.status) is int
+        assert decoded.value == b"v" and offset == len(raw)
+
+    def test_every_known_byte_decodes_to_its_member(self):
+        for member in protocol.OpCode:
+            key = protocol.HEALTH_KEY if member == protocol.OP_HEALTH \
+                else b"k"
+            value = b"v" if member == protocol.OP_PUT else b""
+            request, _ = protocol.decode_request(
+                Request(int(member), key, value).encode())
+            assert request.opcode is member
+        for member in protocol.Status:
+            response, _ = protocol.decode_response(
+                Response(int(member)).encode())
+            assert response.status is member
+
+    @pytest.mark.parametrize("request_, expected", [
+        (protocol.get(b"k"), None),
+        (protocol.put(b"k", b"v"), None),
+        (protocol.delete(b"k"), None),
+        (protocol.health(), None),
+        (Request(2, b"k", b"v"), None),  # raw-int opcodes are accepted
+        (Request(9, b"k"), "unknown opcode 9"),
+        (Request(0, b"k"), "unknown opcode 0"),
+        (Request(-1, b"k"), "unknown opcode -1"),
+        (Request("get", b"k"), "unknown opcode get"),
+        (Request(protocol.OP_GET, b"k" * (MAX_KEY_BYTES + 1)),
+         f"k_len {MAX_KEY_BYTES + 1} exceeds {MAX_KEY_BYTES}"),
+        (Request(protocol.OP_PUT, b"k", b"v" * (MAX_VALUE_BYTES + 1)),
+         f"v_len {MAX_VALUE_BYTES + 1} exceeds {MAX_VALUE_BYTES}"),
+        (Request(protocol.OP_GET, b"k", b"sneaky"),
+         "value supplied for a non-PUT request"),
+        (Request(protocol.OP_DELETE, b"k", b"sneaky"),
+         "value supplied for a non-PUT request"),
+        (Request(protocol.OP_GET, b""), "empty key"),
+        (Request(protocol.OP_PUT, b"", b"v"), "empty key"),
+    ])
+    def test_request_violation_strings(self, request_, expected):
+        assert protocol.request_violation(request_) == expected
+
 
 class TestProtocolBounds:
     """Attacker-supplied length fields are capped before any allocation."""
