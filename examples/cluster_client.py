@@ -26,8 +26,8 @@ from repro.bench.report import format_ops
 from repro.cluster import (
     BackgroundServer,
     ClusterClient,
+    ClusterConfig,
     HotShardBalancer,
-    build_cluster,
 )
 from repro.server import protocol
 from repro.workloads.ycsb import YcsbWorkload
@@ -39,8 +39,8 @@ BATCH = 64
 
 
 def main(backend: str = "inline") -> None:
-    coordinator = build_cluster(N_SHARDS, n_keys=N_KEYS, scale=512,
-                                batch_window=32, backend=backend)
+    coordinator = ClusterConfig(n_shards=N_SHARDS, n_keys=N_KEYS, scale=512,
+                                batch_window=32, backend=backend).build()
     coordinator.attach_balancer(
         HotShardBalancer(coordinator, check_every=512)
     )

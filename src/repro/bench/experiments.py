@@ -788,7 +788,7 @@ def cluster_scaling(scale: int = 2048, n_ops: int = 3000,
     ``total_ops / max(per-shard cycles)``: shards are parallel enclaves,
     the straggler sets wall-clock.
     """
-    from repro.cluster import ClusterStats, build_cluster
+    from repro.cluster import ClusterConfig, ClusterStats
 
     result = ExperimentResult(
         exp_id="Cluster 1",
@@ -804,10 +804,10 @@ def cluster_scaling(scale: int = 2048, n_ops: int = 3000,
                         distribution="uniform", seed=workload.seed + 7919)
     for n_shards in shard_counts:
         for mode in ("cluster", "independent"):
-            coordinator = build_cluster(
-                n_shards, n_keys=n_keys, scale=scale,
+            coordinator = ClusterConfig(
+                n_shards=n_shards, n_keys=n_keys, scale=scale,
                 batch_window=batch_window,
-            )
+            ).build()
             coordinator.load(workload.load_items())
             requests = _as_requests(workload.operations(n_ops))
             warm_requests = _as_requests(warm.operations(warm_ops))
@@ -1040,7 +1040,7 @@ def cluster_process_backend(scale: int = 2048, n_ops: int = 2000,
                             batch_window: int = 32) -> ExperimentResult:
     """Backend equivalence: inline vs real-OS-process shard workers.
 
-    Runs the *same* seeded RD90 stream through ``build_cluster`` twice —
+    Runs the *same* seeded RD90 stream through a ``ClusterConfig`` twice —
     once with every shard enclave inline in this process, once with each
     one in its own OS worker behind a message pipe — and records, per
     backend: simulated throughput, total enclave cycles, and a digest of
@@ -1053,7 +1053,7 @@ def cluster_process_backend(scale: int = 2048, n_ops: int = 2000,
     import hashlib
     import time
 
-    from repro.cluster import build_cluster
+    from repro.cluster import ClusterConfig
     from repro.server.protocol import encode_batch_responses
 
     result = ExperimentResult(
@@ -1070,9 +1070,9 @@ def cluster_process_backend(scale: int = 2048, n_ops: int = 2000,
     # the workload RNG, and equivalence demands the *same* requests.
     requests = _as_requests(workload.operations(n_ops))
     for backend in ("inline", "process"):
-        coordinator = build_cluster(n_shards, n_keys=n_keys, scale=scale,
-                                    batch_window=batch_window,
-                                    backend=backend)
+        coordinator = ClusterConfig(n_shards=n_shards, n_keys=n_keys,
+                                    scale=scale, batch_window=batch_window,
+                                    backend=backend).build()
         try:
             coordinator.load(workload.load_items())
             stats = coordinator.stats()
@@ -1104,7 +1104,7 @@ def cluster_shard_workers(scale: int = 2048, n_ops: int = 4000,
                           frame_ops: int = 512) -> ExperimentResult:
     """Intra-shard batch parallelism: simulated scaling, unchanged answers.
 
-    Runs one seeded 95%-read uniform stream through ``build_cluster`` at
+    Runs one seeded 95%-read uniform stream through a ``ClusterConfig`` at
     several shard worker counts (and, at 4 workers, under the
     OS-process backend too).  Two claims, one table:
 
@@ -1126,7 +1126,7 @@ def cluster_shard_workers(scale: int = 2048, n_ops: int = 4000,
     import hashlib
     import time
 
-    from repro.cluster import build_cluster
+    from repro.cluster import ClusterConfig
     from repro.server.protocol import encode_batch_responses
 
     result = ExperimentResult(
@@ -1142,9 +1142,10 @@ def cluster_shard_workers(scale: int = 2048, n_ops: int = 4000,
     requests = _as_requests(workload.operations(n_ops))
     for backend, workers in (("inline", 1), ("inline", 2), ("inline", 4),
                              ("process", 1), ("process", 4)):
-        coordinator = build_cluster(n_shards, n_keys=n_keys, scale=scale,
-                                    batch_window=batch_window,
-                                    backend=backend, workers=workers)
+        coordinator = ClusterConfig(n_shards=n_shards, n_keys=n_keys,
+                                    scale=scale, batch_window=batch_window,
+                                    backend=backend,
+                                    workers=workers).build()
         try:
             coordinator.load(workload.load_items())
             stats = coordinator.stats()
@@ -1285,7 +1286,7 @@ def cluster_socket_backend(scale: int = 2048, n_ops: int = 2000,
                            batch_window: int = 32) -> ExperimentResult:
     """Row S1: what the multi-host shard hop costs — and what it doesn't.
 
-    Runs the *same* seeded RD90 stream through ``build_cluster`` three
+    Runs the *same* seeded RD90 stream through a ``ClusterConfig`` three
     ways — shards inline, shards in OS worker processes behind pipes,
     and shards in shard-host processes reachable only over attested
     AES-CTR+CMAC TCP sessions (the ``socket`` backend) — and prices the
@@ -1309,7 +1310,7 @@ def cluster_socket_backend(scale: int = 2048, n_ops: int = 2000,
     import hashlib
     import time
 
-    from repro.cluster import SocketBackend, build_cluster
+    from repro.cluster import ClusterConfig, SocketBackend
     from repro.server.protocol import encode_batch_responses
 
     result = ExperimentResult(
@@ -1335,9 +1336,9 @@ def cluster_socket_backend(scale: int = 2048, n_ops: int = 2000,
     for backend in ("inline", "process", "socket"):
         backend_arg = (SocketBackend(n_hosts=n_hosts, seed=1)
                        if backend == "socket" else backend)
-        coordinator = build_cluster(n_shards, n_keys=n_keys, scale=scale,
-                                    batch_window=batch_window,
-                                    backend=backend_arg)
+        coordinator = ClusterConfig(n_shards=n_shards, n_keys=n_keys,
+                                    scale=scale, batch_window=batch_window,
+                                    backend=backend_arg).build()
         try:
             # Everything the hop spent so far is session setup: the
             # attested handshake plus the sealed spawn RPC, per link.

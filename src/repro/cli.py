@@ -210,6 +210,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ClusterNetServer,
         DurabilityConfig,
         HotShardBalancer,
+        OverloadConfig,
         SessionManager,
     )
 
@@ -264,6 +265,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.durable:
         durability = DurabilityConfig(data_dir=args.data_dir,
                                       epoch_every=args.epoch_every)
+    # A capped front door also arms the coordinator's overload layer
+    # (per-shard breakers, deadline shedding, auto-brownout).
+    overload = None
+    if args.max_inflight is not None or args.max_connections is not None:
+        overload = OverloadConfig()
     config = ClusterConfig.from_env(
         n_shards=args.shards,
         n_keys=args.keys,
@@ -275,6 +281,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         backend=backend,
         workers=args.shard_workers,
         replication=args.replication,
+        overload=overload,
         durability=durability,
         tenancy=tenancy,
     )
@@ -290,12 +297,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     restored = getattr(coordinator, "durability_restored", {})
     if args.balance:
         coordinator.attach_balancer(HotShardBalancer(coordinator))
-    overloaded_door = (args.max_inflight is not None
-                       or args.max_connections is not None)
-    if overloaded_door:
-        # A capped front door also arms the coordinator's overload layer
-        # (per-shard breakers, deadline shedding, auto-brownout).
-        coordinator.enable_overload()
     if args.insecure and args.require_encryption:
         print("error: --insecure and --require-encryption are mutually "
               "exclusive")
@@ -336,7 +337,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 print(f"  {shard_id}: restored {len(state.pairs)} keys "
                       f"(epoch {state.epoch}, {state.batches_replayed} "
                       "batches replayed)")
-        if overloaded_door:
+        if overload is not None:
             print("  overload: max in-flight "
                   f"{args.max_inflight if args.max_inflight else 'unlimited'}"
                   ", max connections "
@@ -370,7 +371,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         report = coordinator.stats().report()["shards"]
         print(f"served {server.requests_served} requests "
               f"in {server.frames_served} frames")
-        if overloaded_door:
+        if overload is not None:
             shed = server.wire_stats()["overload"]
             print(f"  overload: shed {shed['requests_shed']} requests "
                   f"({shed['frames_shed']} frames), peak in-flight "

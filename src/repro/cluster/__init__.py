@@ -40,9 +40,8 @@ front door:
 * :mod:`~repro.cluster.tenancy` — the multi-tenant front door: tenant
   identity bound into the attested handshake, per-principal admission,
   disjoint key namespaces, and Secure-Cache quotas (ARCHITECTURE §16);
-* :mod:`~repro.cluster.config` — :class:`ClusterConfig`, the typed
-  single construction surface over all of the above (plus
-  :func:`serve`), replacing the deprecated factory kwarg sprawl;
+* :mod:`~repro.cluster.config` — :class:`ClusterConfig`, the one
+  construction surface over all of the above (plus :func:`serve`);
 * :mod:`~repro.cluster.elastic` — elastic scale-out: the model-checked
   :class:`ReconfigPlanner` (typed constraint rejections) and the
   :class:`ElasticCluster` live migration engine — shard add/remove
@@ -62,12 +61,12 @@ from repro.cluster.balancer import HotShardBalancer, MigrationReport
 from repro.cluster.config import (
     ClusterConfig,
     DurabilityConfig,
+    build_cluster,
     serve,
 )
 from repro.cluster.coordinator import (
     ClusterCoordinator,
     DEFAULT_BATCH_WINDOW,
-    build_cluster,
 )
 from repro.cluster.elastic import (
     CONSTRAINT_MODELS,

@@ -1,12 +1,9 @@
-"""Typed cluster construction: one config object instead of kwarg sprawl.
+"""Typed cluster construction: :class:`ClusterConfig` builds every cluster.
 
-The cluster grew factory by factory — ``build_cluster(n_shards, ...)``,
-``build_replicated_cluster(..., replication=...)``, ``enable_overload``,
-``attach_cluster_durability``, ``enable_tenancy`` — each with its own
-keyword surface, plus ``ARIA_CLUSTER_BACKEND``/``ARIA_SHARD_WORKERS``
-environment fallbacks sprinkled through the call sites.
-:class:`ClusterConfig` is the single construction surface over all of it
-(ARCHITECTURE §16):
+One frozen, validated config object carries the shard count, keyspace,
+EPC envelope, backend, replication and the nested sub-systems, and
+:meth:`ClusterConfig.build` (or :func:`build_cluster` / :func:`serve`)
+turns it into a coordinator (ARCHITECTURE §16):
 
 >>> config = ClusterConfig(n_shards=2, n_keys=5_000, scale=2048,
 ...                        tenancy=TenancyConfig(tenants=(
@@ -20,43 +17,52 @@ Sub-systems nest as typed sub-configs, each ``None`` (disarmed) by
 default: :class:`~repro.cluster.overload.OverloadConfig` for admission/
 degradation, :class:`DurabilityConfig` for the sealed WAL sidecars, and
 :class:`~repro.cluster.tenancy.TenancyConfig` for the multi-tenant front
-door.  A config with every sub-config ``None`` builds a cluster
-bit-identical to the pre-config factories — the typed surface is
-packaging, never semantics.
+door.  A config with every sub-config ``None`` builds a cluster with
+all three layers disarmed.
 
 **Precedence** is explicit argument > config > environment: a value you
 pass always wins; a field left at its default defers to the config; the
 ``ARIA_*`` environment variables are consulted only when the field is
-``None`` (the same fallback the untyped factories always had —
-:meth:`ClusterConfig.from_env` pins the environment's answer into the
-config at construction time so later ``os.environ`` churn cannot change
-what you build).
-
-The legacy keyword factories keep working through
-:meth:`ClusterConfig.from_kwargs`, with a :class:`DeprecationWarning`
-naming the replacement — see the migration guide in the README.
+``None`` (:meth:`ClusterConfig.from_env` pins the environment's answer
+into the config at construction time so later ``os.environ`` churn
+cannot change what you build).
 """
 
 from __future__ import annotations
 
 import os
 import time
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Mapping, Optional
 
 from repro.bench.harness import PAPER_EPC_BYTES
-from repro.cluster.backend import BACKEND_ENV_VAR, BackendSpec
+from repro.cluster.backend import BACKEND_ENV_VAR, BackendSpec, resolve_backend
 from repro.cluster.overload import OverloadConfig
 from repro.cluster.ring import DEFAULT_VNODES, VnodeSpec
-from repro.cluster.shard import WORKERS_ENV_VAR
+from repro.cluster.shard import (
+    WORKERS_ENV_VAR,
+    build_shards,
+    enclave_epc_bytes,
+    resolve_workers,
+)
 from repro.cluster.tenancy import TenancyConfig
+from repro.core.config import AriaConfig
 from repro.errors import ConfigurationError
 
-#: build_cluster's historical defaults, preserved verbatim.
 DEFAULT_N_SHARDS = 4
 DEFAULT_N_KEYS = 20_000
 DEFAULT_EPOCH_EVERY = 32
+
+#: AriaConfig fields the shard build sizes itself (from the EPC carve and
+#: the keyspace) or takes from ClusterConfig's own fields.
+_BUILD_OWNED_FIELDS = frozenset({
+    "index", "seed", "n_buckets", "merkle_arity", "secure_cache_bytes",
+    "eviction_policy", "initial_counters", "heap_chunk_bytes",
+})
+#: What ``shard_overrides`` may carry: the remaining AriaConfig fields
+#: plus the record-size hint the shard store is sized by.
+_SHARD_OVERRIDE_KEYS = frozenset(
+    f.name for f in fields(AriaConfig)) - _BUILD_OWNED_FIELDS | {"value_hint"}
 
 
 @dataclass(frozen=True)
@@ -118,8 +124,8 @@ class ClusterConfig:
     #: consumed at build and the planner refuses every add.
     max_shards: Optional[int] = None
     #: Extra AriaConfig field overrides applied to every shard store
-    #: (``value_hint``, ``crypto_backend``, ...), exactly the ``**kwargs``
-    #: tail of the old factories.
+    #: (``value_hint``, ``crypto_backend``, ...); replica-group builds
+    #: also take a ``fault_plan``.
     shard_overrides: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -145,6 +151,19 @@ class ClusterConfig:
             raise ConfigurationError(
                 f"max_shards ({self.max_shards}) must be >= n_shards "
                 f"({self.n_shards})")
+        allowed = _SHARD_OVERRIDE_KEYS
+        if self._replica_groups:
+            allowed = allowed | {"fault_plan"}
+        unknown = sorted(set(self.shard_overrides) - allowed)
+        if unknown:
+            raise ConfigurationError(
+                f"unknown shard_overrides {unknown}: pass AriaConfig "
+                "tunables or value_hint (fault_plan needs replica groups)")
+
+    @property
+    def _replica_groups(self) -> bool:
+        """Whether :meth:`build` makes replica groups, not plain shards."""
+        return self.replication > 1 or self.durability is not None
 
     # -- construction helpers -----------------------------------------------------
 
@@ -170,34 +189,6 @@ class ClusterConfig:
                     pass  # malformed env is ignored, like resolve_workers
         return cls(**overrides)
 
-    #: Legacy factory keywords that map onto ClusterConfig fields;
-    #: anything else in the kwarg tail is a shard override.
-    _FIELD_KWARGS = ("n_keys", "cluster_epc_bytes", "scale", "index",
-                     "vnodes", "batch_window", "seed", "backend", "workers",
-                     "replication")
-
-    @classmethod
-    def from_kwargs(cls, n_shards: int, *, _warn: bool = True,
-                    **kwargs) -> "ClusterConfig":
-        """Adapt the deprecated ``build_cluster(n, key=value, ...)`` sprawl.
-
-        Known factory keywords become config fields; the remainder is the
-        shard-override tail, exactly as the old ``**shard_overrides``
-        behaved.  Emits a :class:`DeprecationWarning` naming the typed
-        replacement (suppressed for internal adapter calls).
-        """
-        if _warn:
-            warnings.warn(
-                "keyword-sprawl cluster factories are deprecated; build a "
-                "repro.cluster.config.ClusterConfig and pass it to "
-                "build_cluster(config) / serve(config)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        fields = {name: kwargs.pop(name) for name in cls._FIELD_KWARGS
-                  if name in kwargs}
-        return cls(n_shards=n_shards, shard_overrides=kwargs, **fields)
-
     def with_overrides(self, **changes) -> "ClusterConfig":
         """A copy with fields replaced (frozen-dataclass convenience)."""
         return replace(self, **changes)
@@ -222,22 +213,10 @@ class ClusterConfig:
         return overrides
 
     def per_enclave_epc_bytes(self) -> int:
-        """The EPC carve each enclave gets under this config's build path.
-
-        Mirrors the builders exactly: replica-group builds divide the
-        scaled envelope by ``n_shards * replication``; plain builds clamp
-        the scaled envelope at 4096 bytes/shard first (the legacy
-        ``build_cluster`` formula), then divide by ``n_shards``.
-        """
-        from repro.cluster.shard import MIN_SHARD_EPC_BYTES
-
-        if self.replication > 1 or self.durability is not None:
-            return max(MIN_SHARD_EPC_BYTES,
-                       self.cluster_epc_bytes // self.scale
-                       // (self.n_shards * self.replication))
-        scaled = max(MIN_SHARD_EPC_BYTES * self.n_shards,
-                     self.cluster_epc_bytes // self.scale)
-        return scaled // self.n_shards
+        """The EPC carve each enclave gets: the scaled envelope split
+        evenly over all ``n_shards * replication`` enclaves."""
+        return enclave_epc_bytes(self.cluster_epc_bytes, self.scale,
+                                 self.n_shards * self.replication)
 
     def elastic_spec(self, *, durability_factory=None):
         """The :class:`~repro.cluster.elastic.ShardSpec` this config implies.
@@ -249,7 +228,6 @@ class ClusterConfig:
         so the ``epc_budget`` model rejects every add.
         """
         from repro.cluster.elastic import ShardSpec
-        from repro.cluster.shard import resolve_workers
 
         overrides = self.resolved_shard_overrides()
         fault_plan = overrides.pop("fault_plan", None)
@@ -283,31 +261,30 @@ class ClusterConfig:
         bucket/breaker decisions are deterministic in tests and in the T1
         experiment's cross-backend cycle-identity check).
         """
-        from repro.cluster.coordinator import build_cluster as _build
+        from repro.cluster.coordinator import ClusterCoordinator
         from repro.cluster.replication import build_replicated_cluster
 
         overrides = self.resolved_shard_overrides()
-        common = dict(
-            n_keys=self.n_keys,
-            cluster_epc_bytes=self.cluster_epc_bytes,
-            scale=self.scale,
-            index=self.index,
-            vnodes=self.vnodes,
-            batch_window=self.batch_window,
-            seed=self.seed,
-            backend=self.backend,
-            workers=self.workers,
-        )
-        with warnings.catch_warnings():
-            # The typed door funnels through the legacy factory bodies;
-            # only direct keyword-spelling callers hear the deprecation.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            if self.replication > 1 or self.durability is not None:
-                coordinator = build_replicated_cluster(
-                    self.n_shards, replication=self.replication,
-                    **common, **overrides)
-            else:
-                coordinator = _build(self.n_shards, **common, **overrides)
+        if self._replica_groups:
+            coordinator = build_replicated_cluster(
+                self.n_shards, replication=self.replication,
+                n_keys=self.n_keys,
+                cluster_epc_bytes=self.cluster_epc_bytes, scale=self.scale,
+                index=self.index, vnodes=self.vnodes,
+                batch_window=self.batch_window, seed=self.seed,
+                backend=self.backend, workers=self.workers, **overrides)
+        else:
+            factory = resolve_backend(self.backend)
+            shards = build_shards(
+                self.n_shards,
+                # build_shards splits the envelope evenly again.
+                cluster_epc_bytes=self.per_enclave_epc_bytes()
+                * self.n_shards,
+                n_keys=self.n_keys, index=self.index, seed=self.seed,
+                backend=factory, workers=self.workers, **overrides)
+            coordinator = ClusterCoordinator(
+                shards, vnodes=self.vnodes, batch_window=self.batch_window)
+            coordinator.backend = factory
         try:
             if self.overload is not None:
                 coordinator.enable_overload(self.overload, clock=clock)
@@ -382,12 +359,8 @@ class ClusterConfig:
 
 def build_cluster(config: ClusterConfig, *,
                   clock: Callable[[], float] = time.monotonic):
-    """Build a coordinator from a :class:`ClusterConfig` (the typed door).
-
-    :func:`repro.cluster.coordinator.build_cluster` accepts the same
-    config as its first argument and lands here; this module-level spelling
-    exists so new code never has to touch the legacy keyword surface.
-    """
+    """Build a coordinator from a :class:`ClusterConfig`
+    (``config.build(clock=clock)``)."""
     return config.build(clock=clock)
 
 

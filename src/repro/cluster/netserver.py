@@ -60,7 +60,6 @@ import socket
 import struct
 import threading
 import time
-import warnings
 from typing import Callable, List, Optional, Tuple
 
 from repro.cluster import netutil
@@ -110,8 +109,6 @@ SECURITY_POLICIES = ("optional", "required", "plaintext")
 
 #: The classic net fault kinds, consumed after a frame is served.
 _CONNECTION_KINDS = frozenset({DELAY, DROP, CLOSE})
-
-_UNSET = object()
 
 
 def _flip_bit(frame: bytes) -> bytes:
@@ -773,9 +770,9 @@ class ClusterClient:
       as :class:`~repro.errors.OverloadedError`; a shed *write* comes
       back as the raw OVERLOADED :class:`Response` — never auto-retried.
 
-    Construct via :meth:`connect`; passing socket/retry tuning directly to
-    the constructor is deprecated.  Every error this client raises is part
-    of the :mod:`repro.errors` tree.
+    :meth:`connect` is the documented factory; it takes exactly the
+    constructor's keywords.  Every error this client raises is part of the
+    :mod:`repro.errors` tree.
     """
 
     def __init__(
@@ -788,35 +785,14 @@ class ClusterClient:
         crypto: str = "fast",
         tenant: Optional[str] = None,
         credential: Optional[bytes] = None,
-        timeout: float = _UNSET,
-        retries: int = _UNSET,
-        backoff: float = _UNSET,
-        backoff_cap: float = _UNSET,
-        sleep: Callable[[float], None] = _UNSET,
-        deadline: Optional[float] = _UNSET,
-        retry_ratio: float = _UNSET,
+        timeout: float = DEFAULT_CLIENT_TIMEOUT,
+        retries: int = DEFAULT_READ_RETRIES,
+        backoff: float = DEFAULT_BACKOFF,
+        backoff_cap: float = DEFAULT_BACKOFF_CAP,
+        sleep: Callable[[float], None] = time.sleep,
+        deadline: Optional[float] = None,
+        retry_ratio: float = DEFAULT_RETRY_RATIO,
     ):
-        tuning = {
-            name: value
-            for name, value in (
-                ("timeout", timeout), ("retries", retries),
-                ("backoff", backoff), ("backoff_cap", backoff_cap),
-                ("sleep", sleep), ("deadline", deadline),
-                ("retry_ratio", retry_ratio),
-            )
-            if value is not _UNSET
-        }
-        if tuning:
-            warnings.warn(
-                "passing socket/retry tuning "
-                f"({', '.join(sorted(tuning))}) to ClusterClient() is "
-                "deprecated; use the ClusterClient.connect() factory",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        timeout = tuning.get("timeout", DEFAULT_CLIENT_TIMEOUT)
-        retries = tuning.get("retries", DEFAULT_READ_RETRIES)
-        deadline = tuning.get("deadline", None)
         if timeout <= 0:
             raise ConfigurationError("timeout must be positive")
         if retries < 0:
@@ -827,14 +803,13 @@ class ClusterClient:
         self._port = port
         self._timeout = timeout
         self._retries = retries
-        self._backoff = tuning.get("backoff", DEFAULT_BACKOFF)
-        self._backoff_cap = tuning.get("backoff_cap", DEFAULT_BACKOFF_CAP)
-        self._sleep = tuning.get("sleep", time.sleep)
+        self._backoff = backoff
+        self._backoff_cap = backoff_cap
+        self._sleep = sleep
         #: Default per-call deadline budget (seconds); None = no envelope.
         self._deadline = deadline
         #: Shared across this client's reads: bounds retry amplification.
-        self.retry_budget = RetryBudget(
-            ratio=tuning.get("retry_ratio", DEFAULT_RETRY_RATIO))
+        self.retry_budget = RetryBudget(ratio=retry_ratio)
         if credential is not None and tenant is None:
             raise ConfigurationError(
                 "credential requires a tenant id")
@@ -859,55 +834,20 @@ class ClusterClient:
         self._sock = self._connect()
 
     @classmethod
-    def connect(
-        cls,
-        host: str,
-        port: int,
-        *,
-        secure: bool = True,
-        expected_measurement: Optional[bytes] = None,
-        crypto: str = "fast",
-        tenant: Optional[str] = None,
-        credential: Optional[bytes] = None,
-        timeout: float = DEFAULT_CLIENT_TIMEOUT,
-        retries: int = DEFAULT_READ_RETRIES,
-        backoff: float = DEFAULT_BACKOFF,
-        backoff_cap: float = DEFAULT_BACKOFF_CAP,
-        sleep: Callable[[float], None] = time.sleep,
-        deadline: Optional[float] = None,
-        retry_ratio: float = DEFAULT_RETRY_RATIO,
-    ) -> "ClusterClient":
+    def connect(cls, host: str, port: int, **options) -> "ClusterClient":
         """The factory: connect (and, unless ``secure=False``, handshake).
 
-        This is the supported home for socket/retry tuning; the
-        constructor accepts the same keywords only for backward
-        compatibility, with a :class:`DeprecationWarning`.
-        ``deadline`` is a default budget (seconds) attached to every
-        frame; ``retry_ratio`` bounds retries as a fraction of fresh
-        requests (see :class:`~repro.cluster.overload.RetryBudget`).
+        Takes the constructor's keywords unchanged.  ``deadline`` is a
+        default budget (seconds) attached to every frame; ``retry_ratio``
+        bounds retries as a fraction of fresh requests (see
+        :class:`~repro.cluster.overload.RetryBudget`).
         ``tenant``/``credential`` make the connection act as that
         principal: a secure client authenticates it inside the attested
         handshake (``credential`` is the tenant secret; it defaults to the
         derivable demo secret when omitted), an insecure client merely
         claims it per frame.
         """
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            return cls(
-                host, port,
-                secure=secure,
-                expected_measurement=expected_measurement,
-                crypto=crypto,
-                tenant=tenant,
-                credential=credential,
-                timeout=timeout,
-                retries=retries,
-                backoff=backoff,
-                backoff_cap=backoff_cap,
-                sleep=sleep,
-                deadline=deadline,
-                retry_ratio=retry_ratio,
-            )
+        return cls(host, port, **options)
 
     # -- connection + handshake ---------------------------------------------------
 

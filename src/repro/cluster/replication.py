@@ -48,7 +48,7 @@ from repro.cluster.coordinator import (
 )
 from repro.cluster.faults import FaultPlan, FaultyShard
 from repro.cluster.ring import DEFAULT_VNODES, VnodeSpec
-from repro.cluster.shard import MIN_SHARD_EPC_BYTES, resolve_workers
+from repro.cluster.shard import enclave_epc_bytes, resolve_workers
 from repro.errors import (
     IntegrityError,
     KeyNotFoundError,
@@ -675,14 +675,14 @@ def build_replicated_cluster(
 ) -> ClusterCoordinator:
     """A cluster of N partitions × R replica enclaves behind one ring.
 
-    Like :func:`~repro.cluster.coordinator.build_cluster`, but the EPC
-    budget is carved across *all* ``n_shards * replication`` enclaves —
-    replication's memory cost is paid inside the same envelope, so R=2
-    halves each enclave's share rather than conjuring free hardware.
+    Like a plain :class:`~repro.cluster.config.ClusterConfig` build, but
+    the EPC budget is carved across *all* ``n_shards * replication``
+    enclaves — replication's memory cost is paid inside the same
+    envelope, so R=2 halves each enclave's share rather than conjuring
+    free hardware.
     """
-    total_enclaves = n_shards * replication
-    per_enclave = max(MIN_SHARD_EPC_BYTES,
-                      cluster_epc_bytes // scale // total_enclaves)
+    per_enclave = enclave_epc_bytes(cluster_epc_bytes, scale,
+                                    n_shards * replication)
     factory = resolve_backend(backend)
     groups = [
         build_replica_group(

@@ -27,6 +27,14 @@ from repro.sgx.costs import SgxPlatform
 #: degenerates (mirrors the scaled_platform floor in the bench harness).
 MIN_SHARD_EPC_BYTES = 4096
 
+
+def enclave_epc_bytes(cluster_epc_bytes: int, scale: int,
+                      n_enclaves: int) -> int:
+    """One enclave's carve: the ``scale``-divided EPC envelope split
+    evenly over ``n_enclaves``, floored at :data:`MIN_SHARD_EPC_BYTES`."""
+    return max(MIN_SHARD_EPC_BYTES,
+               cluster_epc_bytes // scale // n_enclaves)
+
 #: Environment override for the per-shard enclave worker count, consulted
 #: by the cluster builders when no explicit ``workers=`` is given (how the
 #: CI ``parallel`` job re-runs whole suites at ``workers=4``).

@@ -1,6 +1,6 @@
 """Cluster serving layer: shards, coordinator, balancer, stats.
 
-Everything here drives the public surface — ``build_cluster`` /
+Everything here drives the public surface — ``ClusterConfig`` /
 ``ClusterCoordinator`` / ``HotShardBalancer`` — and observes effects
 through store contents and cycle meters, never by poking privates.
 """
@@ -8,9 +8,9 @@ through store contents and cycle meters, never by poking privates.
 import pytest
 
 from repro.cluster import (
+    ClusterConfig,
     ClusterCoordinator,
     HotShardBalancer,
-    build_cluster,
     build_shards,
 )
 from repro.cluster.ring import HashRing
@@ -19,8 +19,8 @@ from repro.server import protocol
 
 
 def small_cluster(n_shards=2, *, n_keys=512, batch_window=8, **kw):
-    return build_cluster(n_shards, n_keys=n_keys, scale=2048,
-                         batch_window=batch_window, **kw)
+    return ClusterConfig(n_shards=n_shards, n_keys=n_keys, scale=2048,
+                         batch_window=batch_window, **kw).build()
 
 
 def kv(i):

@@ -22,12 +22,12 @@ import pytest
 from repro.cluster import (
     BACKEND_NAMES,
     BackgroundServer,
+    ClusterConfig,
     HealthMonitor,
     InlineBackend,
     ProcessBackend,
     ReplicaState,
     SocketBackend,
-    build_cluster,
     build_replicated_cluster,
     default_backend_name,
     resolve_backend,
@@ -51,8 +51,8 @@ def seeded_workload(n_loaded=64, n_gets=40, n_puts=10):
 
 
 def run_workload(backend):
-    cluster = build_cluster(2, n_keys=256, scale=2048, batch_window=8,
-                            seed=3, backend=backend)
+    cluster = ClusterConfig(n_shards=2, n_keys=256, scale=2048,
+                            batch_window=8, seed=3, backend=backend).build()
     try:
         load, requests = seeded_workload()
         cluster.load(load)
@@ -141,8 +141,9 @@ class TestEquivalence:
     def test_stats_report_matches(self):
         rows = {}
         for name in ("inline", "process"):
-            cluster = build_cluster(2, n_keys=256, scale=2048,
-                                    batch_window=8, seed=3, backend=name)
+            cluster = ClusterConfig(n_shards=2, n_keys=256, scale=2048,
+                                    batch_window=8, seed=3,
+                                    backend=name).build()
             try:
                 load, requests = seeded_workload()
                 cluster.load(load)
@@ -160,8 +161,8 @@ class TestEquivalence:
 @procs
 class TestProcessLifecycle:
     def test_workers_are_real_processes(self):
-        cluster = build_cluster(2, n_keys=128, scale=2048,
-                                backend="process")
+        cluster = ClusterConfig(n_shards=2, n_keys=128, scale=2048,
+                                backend="process").build()
         try:
             pids = [s.pid for s in cluster.shard_list()]
             assert len(set(pids)) == 2
@@ -172,8 +173,8 @@ class TestProcessLifecycle:
             cluster.close()
 
     def test_close_joins_workers_and_is_idempotent(self):
-        cluster = build_cluster(2, n_keys=128, scale=2048,
-                                backend="process")
+        cluster = ClusterConfig(n_shards=2, n_keys=128, scale=2048,
+                                backend="process").build()
         pids = [s.pid for s in cluster.shard_list()]
         cluster.close()
         for pid in pids:
@@ -183,8 +184,8 @@ class TestProcessLifecycle:
         cluster.close()  # second close is a no-op, not an error
 
     def test_background_server_close_drains_and_joins(self):
-        cluster = build_cluster(2, n_keys=256, scale=2048, batch_window=8,
-                                backend="process")
+        cluster = ClusterConfig(n_shards=2, n_keys=256, scale=2048,
+                                batch_window=8, backend="process").build()
         cluster.load((b"k-%03d" % i, b"v-%03d" % i) for i in range(32))
         background = BackgroundServer(cluster)
         background.start()
@@ -199,8 +200,8 @@ class TestProcessLifecycle:
         assert multiprocessing.active_children() == []
 
     def test_crashed_shard_reports_unavailable_not_hang(self):
-        cluster = build_cluster(2, n_keys=256, scale=2048, batch_window=4,
-                                backend="process")
+        cluster = ClusterConfig(n_shards=2, n_keys=256, scale=2048,
+                                batch_window=4, backend="process").build()
         try:
             cluster.load((b"k-%03d" % i, b"v-%03d" % i) for i in range(32))
             victim = cluster.shard_for(b"k-001")

@@ -1,15 +1,11 @@
-"""The typed construction surface: ClusterConfig precedence, deprecation,
-validation, and the serve() lifecycle.
+"""The typed construction surface: ClusterConfig precedence, validation,
+the EPC carve, and the serve() lifecycle.
 
-The contract under test (ARCHITECTURE §16): one config object replaces
-the keyword-sprawl factories; precedence is explicit argument > config >
-environment, with the environment resolved *once* by ``from_env``; the
-legacy spellings keep working behind a :class:`DeprecationWarning` and
-build the same cluster, bit for bit.
+The contract under test (ARCHITECTURE §16): one config object builds
+every cluster; precedence is explicit argument > config > environment,
+with the environment resolved *once* by ``from_env``; bad fields and
+bad shard overrides are refused up front with a typed error.
 """
-
-import random
-import warnings
 
 import pytest
 
@@ -17,14 +13,13 @@ from repro.cluster import (
     ClusterClient,
     ClusterConfig,
     DurabilityConfig,
+    FaultPlan,
     TenancyConfig,
     TenantConfig,
-    build_cluster,
     serve,
 )
 from repro.cluster.backend import BACKEND_ENV_VAR
-from repro.cluster.config import build_cluster as build_from_config
-from repro.cluster.shard import WORKERS_ENV_VAR
+from repro.cluster.shard import MIN_SHARD_EPC_BYTES, WORKERS_ENV_VAR
 from repro.core.tenant import tenant_token
 from repro.errors import ConfigurationError
 from repro.server import protocol
@@ -80,6 +75,43 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             config.with_overrides(n_shards=0)
 
+    @pytest.mark.parametrize("overrides,replication,durable,accepted", [
+        ({"value_hint": 64}, 1, False, True),
+        ({"crypto_backend": "fast", "pin_levels": 2}, 1, False, True),
+        ({"tenant_quotas": None}, 2, False, True),
+        ({"bogus_knob": 1}, 1, False, False),
+        ({"bogus_knob": 1}, 2, False, False),
+        ({"bogus_knob": 1}, 1, True, False),
+        # Sized by the build or set by a ClusterConfig field.
+        ({"n_buckets": 8}, 1, False, False),
+        ({"index": "btree"}, 1, False, False),
+        # A fault plan addresses replicas, so it needs replica groups.
+        ({"fault_plan": FaultPlan()}, 1, False, False),
+        ({"fault_plan": FaultPlan()}, 2, False, True),
+        ({"fault_plan": FaultPlan()}, 1, True, True),
+    ], ids=["value_hint", "aria_fields", "tenant_quotas_r2", "bogus",
+            "bogus_r2", "bogus_durable", "build_sized", "config_field",
+            "fault_plan_plain", "fault_plan_r2", "fault_plan_durable"])
+    def test_shard_overrides_are_checked_up_front(
+            self, tmp_path, overrides, replication, durable, accepted):
+        durability = DurabilityConfig(data_dir=str(tmp_path)) \
+            if durable else None
+
+        def make():
+            return small(n_keys=64, replication=replication,
+                         durability=durability, shard_overrides=overrides)
+
+        if not accepted:
+            with pytest.raises(ConfigurationError, match="shard_overrides"):
+                make()
+            return
+        coord = make().build()
+        try:
+            [r] = coord.execute([protocol.put(b"k", b"v")])
+            assert r.status == STATUS_OK
+        finally:
+            coord.close()
+
 
 # -- precedence: explicit > config > environment ----------------------------------
 
@@ -126,65 +158,6 @@ class TestPrecedence:
         assert pinned.resolved_shard_overrides() == {"tenant_quotas": None}
 
 
-# -- the deprecated spellings keep working ----------------------------------------
-
-
-class TestDeprecatedFactories:
-    def test_from_kwargs_warns_and_splits_the_kwarg_tail(self):
-        with pytest.warns(DeprecationWarning, match="ClusterConfig"):
-            config = ClusterConfig.from_kwargs(
-                2, n_keys=128, scale=2048, batch_window=8,
-                value_hint=64)
-        assert config.n_shards == 2
-        assert config.n_keys == 128
-        assert config.shard_overrides == {"value_hint": 64}
-
-    def test_legacy_build_cluster_warns(self):
-        with pytest.warns(DeprecationWarning, match="ClusterConfig"):
-            coord = build_cluster(2, n_keys=128, scale=2048, batch_window=8)
-        coord.close()
-
-    def test_typed_door_is_silent_and_equivalent(self):
-        """build_cluster(config) emits no warning and builds the same
-        cluster as the keyword spelling — same responses, same cycles."""
-        def drive(coord):
-            rng = random.Random(42)
-            outputs = []
-            for _ in range(4):
-                batch = []
-                for _ in range(16):
-                    key = b"key-%04d" % rng.randrange(64)
-                    if rng.random() < 0.5:
-                        batch.append(protocol.put(
-                            key, b"v-%d" % rng.randrange(100)))
-                    else:
-                        batch.append(protocol.get(key))
-                outputs.extend(coord.execute(batch))
-            cycles = sum(s.meter.cycles for s in coord.shard_list())
-            coord.close()
-            return [(r.status, bytes(r.value)) for r in outputs], cycles
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            typed = drive(build_cluster(small()))
-            module_level = drive(build_from_config(small()))
-        with pytest.warns(DeprecationWarning):
-            legacy = drive(build_cluster(2, n_keys=128, scale=2048,
-                                         batch_window=8))
-        assert typed == legacy
-        assert module_level == legacy
-
-    def test_typed_door_rejects_mixed_keywords(self):
-        with pytest.raises(ValueError):
-            build_cluster(small(), n_keys=64)
-        with pytest.raises(ValueError):
-            build_cluster(small(), value_hint=64)
-        with pytest.raises(TypeError):
-            build_cluster("four")
-        with pytest.raises(TypeError):
-            build_cluster(2)  # the keyword factory requires n_keys
-
-
 # -- build() arms the nested sub-systems ------------------------------------------
 
 
@@ -227,6 +200,42 @@ class TestBuild:
             assert r.value == b"v"
         finally:
             revived.close()
+
+
+# -- one EPC carve for every build path -------------------------------------------
+
+
+class TestEpcCarve:
+    @pytest.mark.parametrize("n_shards", [1, 3])
+    @pytest.mark.parametrize("scale", [64, 4096, 1 << 20])
+    def test_every_enclave_gets_per_enclave_epc_bytes(
+            self, tmp_path, n_shards, scale):
+        configs = [
+            small(n_shards=n_shards, n_keys=64, scale=scale),
+            small(n_shards=n_shards, n_keys=64, scale=scale,
+                  replication=2),
+            small(n_shards=n_shards, n_keys=64, scale=scale,
+                  durability=DurabilityConfig(data_dir=str(tmp_path))),
+        ]
+        for config in configs:
+            carve = config.per_enclave_epc_bytes()
+            assert carve == config.elastic_spec().epc_bytes
+            assert carve == max(MIN_SHARD_EPC_BYTES,
+                                config.cluster_epc_bytes // scale
+                                // (n_shards * config.replication))
+            if scale == 1 << 20:
+                assert carve == MIN_SHARD_EPC_BYTES  # the floor applies
+            coord = config.build()
+            try:
+                enclaves = []
+                for shard in coord.shard_list():
+                    replicas = getattr(shard, "replicas", None)
+                    enclaves += [r.shard for r in replicas] if replicas \
+                        else [shard]
+                assert len(enclaves) == n_shards * config.replication
+                assert {e.epc_bytes for e in enclaves} == {carve}
+            finally:
+                coord.close()
 
 
 # -- serve(): the whole front door from one config --------------------------------

@@ -14,8 +14,8 @@ import pytest
 from repro.cluster import (
     BackgroundServer,
     ClusterClient,
+    ClusterConfig,
     FaultPlan,
-    build_cluster,
 )
 from repro.cluster import session as wire
 from repro.cluster.netserver import FRAME_HEADER
@@ -39,7 +39,8 @@ pytestmark = pytest.mark.wire
 
 @pytest.fixture()
 def cluster():
-    coordinator = build_cluster(2, n_keys=256, scale=2048, batch_window=8)
+    coordinator = ClusterConfig(n_shards=2, n_keys=256, scale=2048,
+                                batch_window=8).build()
     coordinator.load(
         (b"key-%03d" % i, b"val-%03d" % i) for i in range(32)
     )
@@ -468,10 +469,14 @@ class TestClientApi:
         assert not [w for w in caught
                     if issubclass(w.category, DeprecationWarning)]
 
-    def test_constructor_tuning_kwargs_warn(self, server):
+    def test_constructor_takes_the_tuning_keywords(self, server):
         host, port = server.server.address
-        with pytest.warns(DeprecationWarning):
-            ClusterClient(host, port, timeout=2.0).close()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            client = ClusterClient(host, port, timeout=2.0, retries=1,
+                                   retry_ratio=0.5)
+        with client:
+            assert client.get(b"key-001").value == b"val-001"
 
     def test_bad_tuning_is_a_configuration_error(self):
         with pytest.raises(ConfigurationError):
